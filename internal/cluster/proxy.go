@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,7 +144,10 @@ func (b *breaker) State(now time.Time) string {
 
 // replicaState is the router's live view of one replica.
 type replicaState struct {
-	name     string
+	name string
+	// targets holds the replica's URL for every forwarded path, parsed
+	// once at construction.
+	targets  map[string]*url.URL
 	alive    atomic.Bool
 	ready    atomic.Bool
 	readyGen atomic.Uint64
@@ -171,9 +175,12 @@ type endpointCounters struct {
 // replicas' own bytes (plus ReplicaHeader), so a cluster answers
 // byte-identically to a single daemon.
 type Router struct {
-	cfg       RouterConfig
-	ring      *Ring
-	policy    Policy
+	cfg    RouterConfig
+	ring   *Ring
+	policy Policy
+	// tr carries every request to the replicas: forwarded requests go to
+	// its RoundTrip directly, health probes through hc.
+	tr        *http.Transport
 	hc        *http.Client
 	replicas  []*replicaState
 	endpoints map[string]*endpointCounters
@@ -200,23 +207,29 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
+	tr := &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 256,
+		IdleConnTimeout:     90 * time.Second,
+	}
 	rt := &Router{
-		cfg:    cfg,
-		ring:   ring,
-		policy: pol,
-		hc: &http.Client{
-			Timeout: cfg.Timeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 256,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		},
+		cfg:       cfg,
+		ring:      ring,
+		policy:    pol,
+		tr:        tr,
+		hc:        &http.Client{Timeout: cfg.Timeout, Transport: tr},
 		endpoints: make(map[string]*endpointCounters),
 		started:   time.Now(),
 	}
 	for _, name := range cfg.Replicas {
-		st := &replicaState{name: name}
+		st := &replicaState{name: name, targets: make(map[string]*url.URL, len(forwardedPaths))}
+		for _, path := range forwardedPaths {
+			u, err := url.Parse(name + path)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: replica %q: %w", name, err)
+			}
+			st.targets[path] = u
+		}
 		st.alive.Store(true)
 		st.ready.Store(true)
 		st.lastErr.Store("")
@@ -224,11 +237,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		st.breaker.cooldown = cfg.BreakerCooldown
 		rt.replicas = append(rt.replicas, st)
 	}
-	for _, ep := range []string{"/v1/rtt", "/v1/rtt:batch", "/v1/sweep", "/v1/dimension", "/v1/models"} {
+	for _, ep := range forwardedPaths {
 		rt.endpoints[ep] = &endpointCounters{}
 	}
 	return rt, nil
 }
+
+// forwardedPaths are the daemon endpoints the router forwards.
+var forwardedPaths = []string{"/v1/rtt", "/v1/rtt:batch", "/v1/sweep", "/v1/dimension", "/v1/models"}
 
 // Ring returns the router's hash ring (read-only).
 func (rt *Router) Ring() *Ring { return rt.ring }
@@ -333,11 +349,11 @@ func readBody(r *http.Request) ([]byte, error) {
 		return nil, nil
 	}
 	defer r.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
+	data, over, err := service.ReadLimited(r.Body, r.ContentLength, maxProxyBody)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reading body: %w", err)
 	}
-	if len(data) > maxProxyBody {
+	if over {
 		return nil, fmt.Errorf("cluster: body over %d bytes", maxProxyBody)
 	}
 	return data, nil
@@ -500,38 +516,56 @@ func (rt *Router) tryOrder(ctx context.Context, candidates []int, method, path, 
 	return forwardResult{}, fmt.Errorf("cluster: no replica answered %s: %w", path, lastErr)
 }
 
-// forwardOne sends the buffered request to one replica.
+// Forwarded requests share these headers: a RoundTripper must not modify
+// its request, so they are only ever read.
+var (
+	forwardHeader     = http.Header{"Accept": {"application/json"}}
+	forwardBodyHeader = http.Header{"Accept": {"application/json"}, "Content-Type": {"application/json"}}
+)
+
+// forwardOne sends the buffered request to one replica, straight to the
+// router's Transport: the replica's URL is parsed once per path, and the
+// timeout covers reading the response body, as http.Client's did.
+// Transport errors are wrapped the way http.Client wraps them.
 func (rt *Router) forwardOne(ctx context.Context, st *replicaState, method, path, rawQuery string, body []byte) (forwardResult, error) {
-	target := st.name + path
+	u := st.targets[path]
 	if rawQuery != "" {
-		target += "?" + rawQuery
+		q := *u
+		q.RawQuery = rawQuery
+		u = &q
 	}
-	var rd io.Reader
+	ctx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
+	defer cancel()
+	req := (&http.Request{
+		Method:     method,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     forwardHeader,
+	}).WithContext(ctx)
 	if len(body) > 0 {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, target, rd)
-	if err != nil {
-		return forwardResult{}, err
-	}
-	req.Header.Set("Accept", "application/json")
-	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header = forwardBodyHeader
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.ContentLength = int64(len(body))
+		// GetBody lets the Transport replay the body on a fresh connection
+		// when a reused one turns out to be dead before anything was sent.
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	}
 	st.inflight.Add(1)
 	st.requests.Add(1)
-	resp, err := rt.hc.Do(req)
+	resp, err := rt.tr.RoundTrip(req)
 	if err != nil {
 		st.inflight.Add(-1)
-		return forwardResult{}, err
+		return forwardResult{}, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u.String(), Err: err}
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxReplicaBody+1))
+	data, over, err := service.ReadLimited(resp.Body, resp.ContentLength, maxReplicaBody)
 	resp.Body.Close()
 	st.inflight.Add(-1)
 	if err != nil {
 		return forwardResult{}, err
 	}
-	if int64(len(data)) > maxReplicaBody {
+	if over {
 		// Forwarding the first maxReplicaBody bytes as a complete body would
 		// hand the client a silently truncated answer; treat the oversized
 		// response as a transport failure so tryOrder fails over.
@@ -690,7 +724,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	type subResult struct {
-		res service.BatchResult
+		res rawBatch
 		fwd forwardResult
 		err error
 	}
@@ -700,15 +734,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(gi int, g *group) {
 			defer wg.Done()
-			sub := service.BatchRequest{Scenarios: make([]json.RawMessage, len(g.items))}
+			items := make([]json.RawMessage, len(g.items))
 			for j, idx := range g.items {
-				sub.Scenarios[j] = req.Scenarios[idx]
+				items[j] = req.Scenarios[idx]
 			}
-			payload, err := json.Marshal(sub)
-			if err != nil {
-				subs[gi].err = err
-				return
-			}
+			payload := encodeList("scenarios", items, "}")
 			fwd, err := rt.tryOrder(r.Context(), g.order, http.MethodPost, endpoint, "", payload)
 			if err != nil {
 				subs[gi].err = err
@@ -722,7 +752,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	out := service.BatchResult{Results: make([]service.BatchItem, len(keys))}
+	results := make([]json.RawMessage, len(keys))
+	cached := 0
 	for gi, owner := range owners {
 		sub := subs[gi]
 		if sub.err != nil {
@@ -743,14 +774,43 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for j, idx := range g.items {
-			out.Results[idx] = sub.res.Results[j]
+			results[idx] = sub.res.Results[j]
 		}
-		out.Cached += sub.res.Cached
+		cached += sub.res.Cached
 	}
-	hit := out.Cached == len(out.Results)
+	hit := cached == len(results)
 	rt.observe(endpoint, http.StatusOK, hit)
+	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(service.CacheHeader, hitOrMiss(hit))
-	writeJSON(w, http.StatusOK, out)
+	w.WriteHeader(http.StatusOK)
+	// The replicas encode their items with json.Marshal, so splicing their
+	// bytes reproduces the daemon's json.Marshal(service.BatchResult) plus
+	// newline byte for byte, without decoding and re-encoding every item.
+	w.Write(encodeList("results", results, `,"cached":`+strconv.Itoa(cached)+"}\n"))
+}
+
+// rawBatch is a replica's /v1/rtt:batch answer (service.BatchResult) with
+// its items left encoded for splicing.
+type rawBatch struct {
+	Results []json.RawMessage `json:"results"`
+	Cached  int               `json:"cached"`
+}
+
+// encodeList returns {"field":[items...] followed by tail, in one
+// allocation.
+func encodeList(field string, items []json.RawMessage, tail string) []byte {
+	n := len(`{"":[]`) + len(field) + len(items) + len(tail)
+	for _, item := range items {
+		n += len(item)
+	}
+	out := append(append(append(make([]byte, 0, n), `{"`...), field...), `":[`...)
+	for i, item := range items {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, item...)
+	}
+	return append(append(out, ']'), tail...)
 }
 
 func hitOrMiss(hit bool) string {

@@ -416,7 +416,7 @@ func (m Mix) Validate() error {
 	if m.Atom < -1e-9 || m.Atom > 1+1e-9 {
 		return fmt.Errorf("%w: atom %v", ErrInvalid, m.Atom)
 	}
-	if imag(m.Eval(0)) > 1e-8 {
+	if math.Abs(imag(m.Eval(0))) > 1e-8 {
 		return fmt.Errorf("%w: imaginary mass %v", ErrInvalid, imag(m.Eval(0)))
 	}
 	mean := m.Mean()

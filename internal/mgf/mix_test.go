@@ -3,6 +3,7 @@ package mgf
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"fpsping/internal/dist"
@@ -269,6 +270,23 @@ func TestValidateCatchesBadMixes(t *testing.T) {
 	neg.Atom = -0.4
 	if err := neg.Validate(); err == nil {
 		t.Error("accepted negative atom")
+	}
+}
+
+// TestValidateRejectsImaginaryMassOfEitherSign: a law whose MGF at 0 has a
+// large imaginary part is not a probability law whatever the sign of that
+// part. The check once compared the signed value, so a negative imaginary
+// mass passed.
+func TestValidateRejectsImaginaryMassOfEitherSign(t *testing.T) {
+	for _, im := range []float64{1e-3, -1e-3} {
+		m := Mix{Terms: []Term{{Pole: 1, Coef: []complex128{complex(1, im)}}}}
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "imaginary mass") {
+			t.Errorf("imaginary mass %g: Validate = %v, want an imaginary-mass error", im, err)
+		}
+	}
+	tiny := Mix{Terms: []Term{{Pole: 1, Coef: []complex128{complex(1, 1e-10)}}}}
+	if err := tiny.Validate(); err != nil {
+		t.Errorf("imaginary mass within tolerance rejected: %v", err)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"math"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"fpsping/internal/core"
 )
@@ -122,26 +121,59 @@ func Flags(fs *flag.FlagSet) *Scenario {
 	return &s
 }
 
+// slot returns the Scenario field behind a parameter name (exactly one of
+// flt/num is non-nil), or two nils for an unknown name. It names the same
+// parameters as fields() (a test pins the two together) but builds no
+// table, so lookups on the daemon's per-request decode path do not
+// allocate.
+func (s *Scenario) slot(name string) (flt *float64, num *int) {
+	switch name {
+	case "gamers":
+		return &s.Gamers, nil
+	case "pc":
+		return &s.ClientPacketBytes, nil
+	case "ps":
+		return &s.ServerPacketBytes, nil
+	case "t":
+		return &s.BurstIntervalMs, nil
+	case "d":
+		return &s.ClientIntervalMs, nil
+	case "rup":
+		return &s.UplinkKbit, nil
+	case "rdown":
+		return &s.DownlinkKbit, nil
+	case "c":
+		return &s.AggregateKbit, nil
+	case "k":
+		return nil, &s.ErlangOrder
+	case "q":
+		return &s.Quantile, nil
+	case "fixed":
+		return &s.FixedMs, nil
+	case "load":
+		return &s.Load, nil
+	}
+	return nil, nil
+}
+
 // Set assigns the named parameter from its string form (the same parsing a
 // flag or query parameter gets). Unknown names are an error.
 func (s *Scenario) Set(name, value string) error {
-	for _, f := range s.fields() {
-		if f.name != name {
-			continue
+	flt, num := s.slot(name)
+	switch {
+	case num != nil:
+		n, err := strconv.Atoi(value)
+		if err != nil {
+			return fmt.Errorf("scenario: parameter %q: %w", name, err)
 		}
-		if f.num != nil {
-			n, err := strconv.Atoi(value)
-			if err != nil {
-				return fmt.Errorf("scenario: parameter %q: %w", name, err)
-			}
-			*f.num = n
-			return nil
-		}
+		*num = n
+		return nil
+	case flt != nil:
 		v, err := strconv.ParseFloat(value, 64)
 		if err != nil {
 			return fmt.Errorf("scenario: parameter %q: %w", name, err)
 		}
-		*f.flt = v
+		*flt = v
 		return nil
 	}
 	return fmt.Errorf("scenario: unknown parameter %q", name)
@@ -176,15 +208,172 @@ func FromQuery(values url.Values, extra ...string) (Scenario, error) {
 
 // FromJSON decodes a Scenario from JSON, starting from Default() so absent
 // keys keep their defaults. Unknown keys are rejected, so a typoed "gamer"
-// fails loudly instead of silently modeling the default population.
+// fails loudly instead of silently modeling the default population, and so
+// is anything but whitespace after the object: {"k":9}{"k":20} is an
+// error, not K = 9.
+//
+// The daemon's common wire form — one flat object of known lowercase keys
+// with plain number values — is decoded without reflection. Every other
+// input goes through encoding/json, which stays the only authority for
+// errors and for rare spellings (case-folded keys, escapes, null); both
+// paths give the same Scenario (FuzzFromJSON checks this differentially).
 func FromJSON(data []byte) (Scenario, error) {
+	if s, ok := fromFlatJSON(data); ok {
+		return s, nil
+	}
+	return fromJSONReflect(data)
+}
+
+// fromJSONReflect is FromJSON's encoding/json path.
+func fromJSONReflect(data []byte) (Scenario, error) {
 	s := Default()
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("scenario: %w", err)
 	}
+	if err := CheckTrailing(data, dec.InputOffset()); err != nil {
+		return s, fmt.Errorf("scenario: %w", err)
+	}
 	return s, nil
+}
+
+// CheckTrailing reports an error unless data[end:] is JSON whitespace. A
+// json.Decoder stops after the first value; this is the check that makes
+// it reject trailing data the way json.Unmarshal does.
+func CheckTrailing(data []byte, end int64) error {
+	if i := skipSpace(data, int(end)); i < len(data) {
+		return fmt.Errorf("trailing data after JSON value at offset %d", i)
+	}
+	return nil
+}
+
+// fromFlatJSON decodes the flat wire form: '{', zero or more "key": number
+// members separated by commas, '}', with JSON whitespace anywhere between
+// tokens and after the object. Keys must be exact parameter names without
+// escapes and values must match the JSON number grammar; they are parsed
+// with the strconv calls encoding/json makes for float64 and int fields.
+// ok is false for anything else (including a number those calls reject),
+// and the caller falls back to encoding/json.
+func fromFlatJSON(data []byte) (s Scenario, ok bool) {
+	s = Default()
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
+		return s, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == '}' {
+		return s, skipSpace(data, i+1) == len(data)
+	}
+	for {
+		if i == len(data) || data[i] != '"' {
+			return s, false
+		}
+		j := i + 1
+		for j < len(data) && data[j] != '"' && data[j] != '\\' {
+			j++
+		}
+		if j == len(data) || data[j] != '"' {
+			return s, false
+		}
+		flt, num := s.slot(string(data[i+1 : j]))
+		i = skipSpace(data, j+1)
+		if i == len(data) || data[i] != ':' {
+			return s, false
+		}
+		i = skipSpace(data, i+1)
+		j = scanNumber(data, i)
+		if j == i {
+			return s, false
+		}
+		switch {
+		case flt != nil:
+			v, err := strconv.ParseFloat(string(data[i:j]), 64)
+			if err != nil {
+				return s, false
+			}
+			*flt = v
+		case num != nil:
+			n, err := strconv.ParseInt(string(data[i:j]), 10, strconv.IntSize)
+			if err != nil {
+				return s, false
+			}
+			*num = int(n)
+		default:
+			return s, false
+		}
+		i = skipSpace(data, j)
+		if i == len(data) {
+			return s, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case '}':
+			return s, skipSpace(data, i+1) == len(data)
+		default:
+			return s, false
+		}
+	}
+}
+
+// skipSpace returns the index of the first non-whitespace byte of data at
+// or after i (len(data) if none), with JSON's definition of whitespace.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) {
+		switch data[i] {
+		case ' ', '\t', '\n', '\r':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
+}
+
+// scanNumber returns the end of the JSON number starting at data[i]
+// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?), or i when none starts
+// there.
+func scanNumber(data []byte, i int) int {
+	start := i
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(data) && data[i] == '0':
+		i++
+	case i < len(data) && '1' <= data[i] && data[i] <= '9':
+		i = scanDigits(data, i)
+	default:
+		return start
+	}
+	if i < len(data) && data[i] == '.' {
+		d := scanDigits(data, i+1)
+		if d == i+1 {
+			return start
+		}
+		i = d
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		d := scanDigits(data, i)
+		if d == i {
+			return start
+		}
+		i = d
+	}
+	return i
+}
+
+// scanDigits returns the end of the run of ASCII digits starting at i.
+func scanDigits(data []byte, i int) int {
+	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // Model resolves the scenario into the model layer's units: SI units
@@ -215,9 +404,16 @@ func (s Scenario) Model() core.Model {
 // range and float finiteness (NaN slips through ordered comparisons, and a
 // NaN parameter would later make the JSON encoder fail on the response).
 func (s Scenario) Validate() error {
-	for _, f := range (&s).fields() {
-		if f.flt != nil && (math.IsNaN(*f.flt) || math.IsInf(*f.flt, 0)) {
-			return fmt.Errorf("%w: parameter %q is not finite (%g)", core.ErrBadModel, f.name, *f.flt)
+	// Summing zero times every float is NaN exactly when one of them is
+	// NaN or infinite; the field table is built only to name it.
+	if math.IsNaN(0*s.Gamers + 0*s.ClientPacketBytes + 0*s.ServerPacketBytes +
+		0*s.BurstIntervalMs + 0*s.ClientIntervalMs + 0*s.UplinkKbit +
+		0*s.DownlinkKbit + 0*s.AggregateKbit + 0*s.Quantile + 0*s.FixedMs + 0*s.Load) {
+		named := s // only this copy escapes into the table
+		for _, f := range named.fields() {
+			if f.flt != nil && (math.IsNaN(*f.flt) || math.IsInf(*f.flt, 0)) {
+				return fmt.Errorf("%w: parameter %q is not finite (%g)", core.ErrBadModel, f.name, *f.flt)
+			}
 		}
 	}
 	if s.Load < 0 {
@@ -234,8 +430,21 @@ func (s Scenario) Validate() error {
 // that differ only in spelling (explicit d equal to t, load in place of
 // gamers, an explicitly spelled default) map to the same key. Float values
 // are keyed bit-exactly, so the key never conflates two scenarios the model
-// could tell apart.
+// could tell apart. The key is ten 16-digit lowercase hex float images,
+// each followed by '|', then 'k' and the Erlang order in decimal.
 func (s Scenario) Canonical() string {
+	var buf [canonicalCap]byte
+	return string(s.AppendCanonical(buf[:0]))
+}
+
+// canonicalCap holds any canonical key: ten 17-byte float images, 'k' and
+// a 64-bit decimal integer.
+const canonicalCap = 10*17 + 1 + 20
+
+// AppendCanonical appends the canonical key to dst and returns the
+// extended buffer, so a caller can build a prefixed memo key in one
+// allocation.
+func (s Scenario) AppendCanonical(dst []byte) []byte {
 	m := s.Model()
 	// Resolve the two lazy defaults the model applies at evaluation time.
 	if m.ClientInterval == 0 {
@@ -244,20 +453,23 @@ func (s Scenario) Canonical() string {
 	if m.Quantile == 0 {
 		m.Quantile = core.DefaultQuantile
 	}
-	vals := []float64{
+	for _, v := range [...]float64{
 		m.Gamers, m.ClientPacketBytes, m.ServerPacketBytes,
 		m.BurstInterval, m.ClientInterval,
 		m.UplinkAccessRate, m.DownlinkAccessRate, m.AggregateRate,
 		m.Quantile, m.FixedDelay,
+	} {
+		bits := math.Float64bits(v)
+		for shift := 60; shift >= 0; shift -= 4 {
+			dst = append(dst, hexDigits[bits>>uint(shift)&0xf])
+		}
+		dst = append(dst, '|')
 	}
-	var b strings.Builder
-	b.Grow(16*len(vals) + 8)
-	for _, v := range vals {
-		fmt.Fprintf(&b, "%016x|", math.Float64bits(v))
-	}
-	fmt.Fprintf(&b, "k%d", m.ErlangOrder)
-	return b.String()
+	dst = append(dst, 'k')
+	return strconv.AppendInt(dst, int64(m.ErlangOrder), 10)
 }
+
+const hexDigits = "0123456789abcdef"
 
 // JSON returns the scenario's compact JSON encoding (the daemon's wire
 // form). Encoding a Scenario never fails.

@@ -144,11 +144,25 @@ type RTTResult struct {
 // bool reports whether the answer arrived without computing (a cache hit or
 // a joined in-flight computation).
 func (e *Engine) RTT(sc scenario.Scenario) (RTTResult, bool, error) {
+	return e.rtt(sc, memoKey(rttPrefix, sc))
+}
+
+// rttPrefix marks RTT answers in the memo key space.
+const rttPrefix = "rtt|"
+
+// memoKey returns prefix + sc.Canonical() built in one allocation.
+func memoKey(prefix string, sc scenario.Scenario) string {
+	var buf [256]byte
+	return string(sc.AppendCanonical(append(buf[:0], prefix...)))
+}
+
+// rtt is RTT with the memo key already built (Batch builds it once per item
+// for its dedup as well).
+func (e *Engine) rtt(sc scenario.Scenario, key string) (RTTResult, bool, error) {
 	if err := sc.Validate(); err != nil {
 		return RTTResult{}, false, err
 	}
-	key := sc.Canonical()
-	v, shared, err := e.memo("rtt|"+key, func() (any, error) { return e.computeRTT(sc, key) })
+	v, shared, err := e.memo(key, func() (any, error) { return e.computeRTT(sc, key[len(rttPrefix):]) })
 	if err != nil {
 		return RTTResult{}, false, err
 	}
@@ -289,7 +303,7 @@ type pointMemo struct {
 // Either way the answer is bit-identical to an independent cold evaluation
 // (the LoadPath contract), so the cache stays invisible in values.
 func (e *Engine) point(path *core.LoadPath, psc scenario.Scenario, rho float64) (pointMemo, error) {
-	v, _, err := e.memo("pt|"+psc.Canonical(), func() (any, error) {
+	v, _, err := e.memo(memoKey("pt|", psc), func() (any, error) {
 		e.computes.Add(1)
 		cm, err := path.Compile(rho)
 		if err == nil {
@@ -436,14 +450,14 @@ func (e *Engine) Batch(scs []scenario.Scenario) BatchResult {
 		return out
 	}
 	// Evaluate distinct scenarios first so intra-batch duplicates become
-	// cache hits instead of racing to recompute the same key. Canonical
-	// keys are computed once per item; order is in item order by
-	// construction.
+	// cache hits instead of racing to recompute the same key. Memo keys
+	// are computed once per item, for the dedup and the evaluation alike;
+	// order is in item order by construction.
 	keys := make([]string, len(scs))
 	first := make(map[string]int, len(scs))
 	var order []int
 	for i, sc := range scs {
-		keys[i] = sc.Canonical()
+		keys[i] = memoKey(rttPrefix, sc)
 		if _, ok := first[keys[i]]; !ok {
 			first[keys[i]] = i
 			order = append(order, i)
@@ -456,7 +470,8 @@ func (e *Engine) Batch(scs []scenario.Scenario) BatchResult {
 	}
 	evals, _ := runner.TryMap(len(order), runner.Options{Workers: e.jobs},
 		func(j int) (eval, error) {
-			res, cached, err := e.RTT(scs[order[j]])
+			idx := order[j]
+			res, cached, err := e.rtt(scs[idx], keys[idx])
 			return eval{res: res, cached: cached, err: err}, nil
 		})
 	byKey := make(map[string]eval, len(order))

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -139,17 +140,44 @@ func badRequest(err error) error {
 	return fmt.Errorf("%w: %w", errBadRequest, err)
 }
 
-// writeJSON marshals v compactly; the compact single-marshal path keeps
-// responses byte-identical across requests, workers and cache states.
+// writeJSON encodes v compactly, followed by a newline: exactly
+// json.Marshal's bytes plus '\n' (json.Encoder runs the same encoder),
+// so responses stay byte-identical across requests, workers and cache
+// states. The encoding goes through a pooled buffer instead of a fresh
+// Marshal result and a copying append.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
+	jb := jsonBufs.Get().(*jsonBuf)
+	defer jb.release()
+	if err := jb.enc.Encode(v); err != nil {
 		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(jb.Bytes())
+}
+
+// jsonBuf is a pooled encode buffer with its encoder bound to it.
+type jsonBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	jb := new(jsonBuf)
+	jb.enc = json.NewEncoder(&jb.Buffer)
+	return jb
+}}
+
+// maxPooledJSON keeps a rare huge response (a batch of thousands) from
+// pinning its buffer in the pool.
+const maxPooledJSON = 64 << 10
+
+func (jb *jsonBuf) release() {
+	if jb.Cap() <= maxPooledJSON {
+		jb.Reset()
+		jsonBufs.Put(jb)
+	}
 }
 
 // errStatus maps model errors to HTTP statuses: invalid scenarios and
@@ -196,23 +224,49 @@ func readBody(r *http.Request) ([]byte, error) {
 		return nil, nil
 	}
 	defer r.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	data, over, err := ReadLimited(r.Body, r.ContentLength, maxBodyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("service: reading body: %w", err)
 	}
-	if len(data) > maxBodyBytes {
+	if over {
 		return nil, badRequest(fmt.Errorf("body over %d bytes", maxBodyBytes))
 	}
 	return data, nil
 }
 
+// ReadLimited reads rd to its end. size is the length rd announced (an
+// HTTP Content-Length; -1 when unknown): a known size is read into one
+// buffer of exactly that size, an unknown one grows a buffer as it
+// arrives. over reports that more than limit bytes were announced (then
+// nothing is read) or arrived.
+func ReadLimited(rd io.Reader, size, limit int64) (data []byte, over bool, err error) {
+	if size > limit {
+		return nil, true, nil
+	}
+	if size >= 0 {
+		data = make([]byte, size)
+		_, err = io.ReadFull(rd, data)
+		return data, false, err
+	}
+	data, err = io.ReadAll(io.LimitReader(rd, limit+1))
+	if err != nil {
+		return nil, false, err
+	}
+	return data, int64(len(data)) > limit, nil
+}
+
 // strictUnmarshal decodes JSON rejecting unknown top-level keys, so a
 // mis-keyed request field fails loudly instead of silently falling back to
-// a default (mirroring scenario.FromJSON's DisallowUnknownFields).
+// a default (mirroring scenario.FromJSON's DisallowUnknownFields), and
+// rejecting anything but whitespace after the value, as scenario.FromJSON
+// does.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	return scenario.CheckTrailing(data, dec.InputOffset())
 }
 
 // scenarioFromRequest accepts the two query styles: a JSON Scenario body
